@@ -13,7 +13,7 @@ lint:
 	mypy src/repro/verify src/repro/pipeline src/repro/exec \
 	    src/repro/analyze src/repro/tune src/repro/core/encoding.py
 
-# Static analysis gate: prove the six plan safety obligations over the
+# Static analysis gate: prove the five plan safety obligations over the
 # whole synth suite (exit 1 on any refuted proof; JSON archived as a CI
 # artifact) and run the AST determinism/safety self-lint against the
 # checked-in baseline (exit 1 on any new finding).
@@ -65,23 +65,23 @@ tune-smoke:
 	REPRO_BENCH_SCALE=0.04 REPRO_TUNE_MATRICES=tmt_sym,raefsky3 \
 	    pytest benchmarks/bench_tune.py --benchmark-disable -q
 
-# Seeded fault-injection campaign (smoke preset, ~56 injections across
-# stream/value/plan/cache/worker/image surfaces; plan flips are
+# Seeded fault campaign at zero load (isolated-smoke preset: one
+# tenant, one request per wave, 66 waves across the stream/value/plan/
+# backend/cache/worker/image/malformed surfaces; plan flips are
 # byte-addressed, so compact int32 arrays are in the bit-flip
-# surface).  A single escaped fault — a silently wrong SpMV output —
-# exits nonzero and fails the build; BENCH_faults.json is archived as
-# a CI artifact.  Overhead is measured at full scale by the
-# checked-in full campaign
-# (benchmarks/results/faults_campaign.json), not here.
+# surface).  A single escaped fault — a silently wrong SpMV output or
+# a request poisoned by a malformed neighbour — exits nonzero and
+# fails the build; BENCH_faults.json is archived as a CI artifact.
+# The checked-in zero-load full campaign is
+# benchmarks/results/faults_campaign.json.
 faults-smoke:
-	python -m repro faults --campaign smoke --no-overhead --quiet \
+	python -m repro chaos --preset isolated-smoke --quiet \
 	    --out BENCH_faults.json
 
-# Serving-layer smoke: the chaos-under-load campaign (smoke preset:
-# stream/value/plan/backend-state/cache/worker faults fired at a live
-# SpmvServer between mixed-tenant bursts; a single escaped fault — an
-# ok response with a wrong result — exits nonzero), then the serving
-# benchmark, which records sustained QPS and clean-vs-chaos
+# Serving-layer smoke: the same campaign engine under load (smoke
+# preset: one wave per surface fired at a live SpmvServer between
+# mixed-tenant bursts; a single escaped fault exits nonzero), then the
+# serving benchmark, which records sustained QPS and clean-vs-chaos
 # p50/p95/p99 into BENCH_serve.json and fails on any escape, any
 # clean-phase failure or non-deadline shed, or a chaos p99 outside
 # the envelope of its own clean phase.

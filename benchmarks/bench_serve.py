@@ -8,16 +8,19 @@ Two phases, one report (``BENCH_serve.json`` at the repo root):
   (one latency tenant with per-request deadlines, one batch tenant).
   Records sustained QPS and p50/p95/p99; every response is audited
   bitwise against pristine references.
-* **chaos** — the :mod:`repro.resilience.chaos` smoke campaign: the
-  same serving stack hardened to :data:`~repro.resilience.chaos.CHAOS_GUARD`,
-  with stream/value/plan/backend/cache/worker faults fired at the
-  live server between bursts.  Its report carries clean-phase and
-  chaos-phase percentiles measured under the *same* guard config, so
-  the clean-vs-chaos comparison isolates the faults themselves.
+* **chaos** — the under-load ``smoke`` preset of the
+  :mod:`repro.resilience.chaos` campaign engine: the same serving
+  stack hardened to :data:`~repro.resilience.chaos.CHAOS_GUARD`, with
+  one wave per fault surface (stream/value/plan/backend/cache/worker/
+  image/malformed) fired at the live server between bursts.  Its
+  report carries clean-phase and chaos-phase percentiles measured
+  under the *same* guard config, so the clean-vs-chaos comparison
+  isolates the faults themselves.
 
 Gates (CI fails on any):
 
-* zero escaped faults (an ``ok`` response with a wrong result);
+* zero escaped faults (an ``ok`` response with a wrong result, or a
+  well-formed request poisoned by a malformed neighbour);
 * zero ``failed`` responses in the clean serving phase;
 * every non-``ok`` clean response is a deadline shed, never an
   unverified answer;
@@ -184,6 +187,7 @@ def test_serve_bench(benchmark):
                     "clean": chaos["clean"],
                     "latency_ms": chaos["chaos"]["latency_ms"],
                     "totals": chaos_totals,
+                    "surfaces": chaos["chaos"]["surfaces"],
                     "waves": chaos["chaos"]["waves"],
                     "zero_escapes": chaos["zero_escapes"],
                 },

@@ -5,11 +5,11 @@
 * **Symbolic plan analysis** (:mod:`repro.analyze.symbolic`) — an
   abstract-interpretation pass over compiled
   :class:`~repro.exec.plan.ExecutionPlan` artifacts that, without
-  executing a single SpMV, proves or refutes the six safety
+  executing a single SpMV, proves or refutes the five safety
   obligations the unchecked fast-path kernels rely on: index-width
   safety (with a certified symbolic bound), segment coverage
-  (write-exactly-once), shard race-freedom, memory-image bounds,
-  guard/verifier policy consistency, and backend-capability coverage
+  (write-exactly-once), shard race-freedom, memory-image bounds, and
+  backend-capability coverage
   (every dispatchable op resolves inside a registered backend's
   declared capability envelope).  Refuted obligations surface as
   ``analyze.*`` diagnostics through :mod:`repro.verify`.
@@ -47,7 +47,6 @@ from repro.analyze.symbolic import (
     check_backend_capability,
     check_image_bounds,
     check_index_width,
-    check_policy_consistency,
     check_segment_coverage,
     check_shard_disjointness,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "check_backend_capability",
     "check_image_bounds",
     "check_index_width",
-    "check_policy_consistency",
     "check_segment_coverage",
     "check_shard_disjointness",
     "LINT_IDS",

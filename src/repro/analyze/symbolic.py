@@ -6,7 +6,7 @@ trust the plan arrays completely, and the compact int32 layout makes
 index overflow a real hazard class.  This module is the static
 counterpart of that trust — an abstract-interpretation pass over the
 plan arrays that, without executing a single SpMV, *proves* (or
-refutes, with a pinpointed witness) the six obligations every
+refutes, with a pinpointed witness) the five obligations every
 dispatch relies on:
 
 ``index_width``
@@ -36,12 +36,6 @@ dispatch relies on:
     the descriptor tables imply, so the round-robin cursors of
     :func:`repro.hw.memory_image.unpack_images` can never read past a
     region, and the descriptor totals account for every group.
-``policy``
-    The dtype/checksum policy enforced by
-    :meth:`~repro.exec.plan.ExecutionPlan.validate` (the guard's
-    pre-dispatch check) and the ``plan.*`` rules of
-    :mod:`repro.verify` agree — the two rule sources are cross-checked
-    so guard and verifier can never silently drift.
 ``backend``
     Every op the plan can be asked to run (``spmv``/``spmm``/
     ``spmv_batch``) resolves to a registered, available kernel backend
@@ -68,16 +62,10 @@ PROVED = "proved"
 REFUTED = "refuted"
 SKIPPED = "skipped"
 
-#: The six obligation classes, report order.
+#: The five obligation classes, report order.
 OBLIGATION_IDS = (
-    "index_width", "coverage", "shards", "image", "policy", "backend",
+    "index_width", "coverage", "shards", "image", "backend",
 )
-
-#: Value dtypes the analyzer's policy table accepts — cross-checked
-#: against ``repro.exec.plan`` in :func:`check_policy_consistency` so
-#: an extension of one table without the other refutes ``policy``.
-POLICY_INDEX_DTYPES = ("int32", "int64")
-POLICY_VALUE_DTYPES = ("float32", "float64")
 
 #: Default worker counts the shard obligation quantifies over (the
 #: plan's own auto pick is always added).
@@ -645,103 +633,7 @@ def check_image_bounds(image: Optional[Any], k: int = 4,
 
 
 # ---------------------------------------------------------------------
-# obligation (e): policy consistency
-# ---------------------------------------------------------------------
-
-def check_policy_consistency(plan: Any) -> Obligation:
-    """Cross-check the guard's and the verifier's rule sources.
-
-    Three independently maintained policies must agree on every plan:
-
-    * :meth:`ExecutionPlan.validate` (what the resilience guard runs
-      before dispatch) and the ``plan.integrity`` verify rule must
-      report the *same* problem set;
-    * the dtype tables of :mod:`repro.exec.plan` and the analyzer's
-      own policy tables must be identical;
-    * the ``plan.layout`` advisory must fire exactly when the
-      index-width certificate says the compact layout suffices but
-      the plan is wide.
-
-    Any disagreement means guard and verifier have drifted — a plan
-    one of them passes could be dispatched while the other would have
-    rejected it.
-    """
-    oid = "policy"
-    from repro.exec import plan as plan_mod
-    from repro.verify.rules import REGISTRY, VerifyContext
-
-    mismatches: List[str] = []
-
-    exec_index = tuple(dt.name for dt in plan_mod._INDEX_DTYPES)
-    exec_value = tuple(dt.name for dt in plan_mod._VALUE_DTYPES)
-    if exec_index != POLICY_INDEX_DTYPES:
-        mismatches.append(
-            f"index dtype policy drift: exec allows {exec_index}, "
-            f"analyzer certifies {POLICY_INDEX_DTYPES}"
-        )
-    if exec_value != POLICY_VALUE_DTYPES:
-        mismatches.append(
-            f"value dtype policy drift: exec allows {exec_value}, "
-            f"analyzer certifies {POLICY_VALUE_DTYPES}"
-        )
-
-    guard_problems = list(plan.validate())
-    ctx = VerifyContext(plan=plan)
-    integrity = REGISTRY.get("plan.integrity")
-    if integrity is None:
-        mismatches.append(
-            "verifier has no plan.integrity rule to mirror validate()"
-        )
-    else:
-        verifier_problems = [
-            d.message for d in integrity.check(ctx)
-        ]
-        if verifier_problems != guard_problems:
-            mismatches.append(
-                "guard validate() and plan.integrity diverge: "
-                f"guard={guard_problems!r}, "
-                f"verifier={verifier_problems!r}"
-            )
-
-    layout = REGISTRY.get("plan.layout")
-    if layout is None:
-        mismatches.append("verifier has no plan.layout advisory")
-    elif plan.cols.dtype.kind == "i":
-        cert = certify_index_width(
-            plan.shape, plan.n_slots, plan.cols.dtype
-        )
-        should_fire = bool(
-            cert.compact_sufficient
-            and plan.cols.dtype != np.dtype(np.int32)
-        )
-        fires = bool(list(layout.check(ctx)))
-        if fires != should_fire:
-            mismatches.append(
-                f"plan.layout advisory fires={fires} but the "
-                f"certificate implies {should_fire} "
-                f"(compact_sufficient={cert.compact_sufficient})"
-            )
-
-    if mismatches:
-        return Obligation(
-            oid, REFUTED,
-            "; ".join(mismatches),
-            details={"mismatches": mismatches},
-        )
-    return Obligation(
-        oid, PROVED,
-        "guard validate(), the plan.* verify rules and the dtype "
-        "policy tables agree on this plan (no guard/verifier drift)",
-        details={
-            "guard_problems": len(guard_problems),
-            "index_dtypes": list(exec_index),
-            "value_dtypes": list(exec_value),
-        },
-    )
-
-
-# ---------------------------------------------------------------------
-# obligation (f): backend capability
+# obligation (e): backend capability
 # ---------------------------------------------------------------------
 
 def check_backend_capability(plan: Any,
@@ -823,7 +715,6 @@ def analyze_plan(plan: Any,
         check_segment_coverage(plan),
         check_shard_disjointness(plan, jobs_grid=jobs_grid),
         check_image_bounds(image, k=k, spasm=spasm),
-        check_policy_consistency(plan),
         check_backend_capability(plan, backend=backend),
     ]
     return AnalysisReport(obligations=obligations, matrix=matrix)
@@ -838,7 +729,7 @@ def analyze_program(program: Any,
 
     Builds (or adopts) the program's execution plan, packs the HBM
     memory images for the selected hardware configuration when
-    ``with_image`` and discharges all six obligation classes.
+    ``with_image`` and discharges all five obligation classes.
     """
     spasm = program.spasm
     plan = program.plan if program.plan is not None else spasm.plan()

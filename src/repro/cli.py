@@ -732,59 +732,6 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_faults(args) -> int:
-    """Run a seeded fault-injection campaign over the guard layer.
-
-    Injects one deterministic fault per trial across every surface
-    (stream, value, plan, cache, worker, image), executes through the
-    resilience guard, and classifies each outcome.  Any *escaped*
-    fault — a silently wrong answer — exits 1; so does a blown
-    overhead budget under ``--enforce-overhead``.
-    """
-    import json
-
-    from repro.resilience import run_campaign
-    from repro.resilience.campaign import render_report, write_report
-
-    def progress(line):
-        if not args.quiet:
-            print(f"  .. {line}", file=sys.stderr)
-
-    report = run_campaign(
-        preset=args.campaign,
-        seed=args.seed,
-        overhead=not args.no_overhead,
-        progress=progress,
-    )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote campaign report to {args.out}", file=sys.stderr)
-    if not report["zero_escapes"]:
-        print(
-            f"error: {report['totals']['escaped']} fault(s) escaped "
-            "detection (silently wrong output)",
-            file=sys.stderr,
-        )
-        return 1
-    overhead = report.get("overhead")
-    if (
-        args.enforce_overhead
-        and overhead is not None
-        and not overhead["within_budget"]
-    ):
-        print(
-            f"error: guard overhead {overhead['overhead_pct']:.2f}% "
-            f"exceeds the {overhead['budget_pct']:.1f}% budget",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _serve_setup(workloads: str, scale: float, cache_dir,
                  byte_budget_mb, seed: int, admission=None,
                  workers: int = 2):
@@ -922,14 +869,14 @@ def cmd_query(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    """Chaos-under-load: faults fired at a live server (gate: 0 escapes).
+    """Seeded fault campaign against a live server (gate: 0 escapes).
 
-    Runs the :mod:`repro.resilience.chaos` campaign — a live
-    :class:`~repro.serve.SpmvServer` under seeded mixed-tenant load
-    with stream/value/plan/backend/cache/worker faults injected
-    between bursts, every response audited bitwise against pristine
-    references.  Any escaped fault (an ``ok`` response with a wrong
-    result) exits 1.
+    Runs a :mod:`repro.resilience.chaos` preset: a live
+    :class:`~repro.serve.SpmvServer` under load (``smoke``/``full``)
+    or at zero load (``isolated-*``, one request per wave), with
+    stream/value/plan/backend/cache/worker/image/malformed faults
+    injected wave by wave and every response audited bitwise against
+    pristine references.  Any escaped fault exits 1.
     """
     import json
 
@@ -955,10 +902,10 @@ def cmd_chaos(args) -> int:
         write_report(report, args.out)
         print(f"wrote chaos report to {args.out}", file=sys.stderr)
     if not report["zero_escapes"]:
-        totals = report["chaos"]["totals"]
         print(
-            f"error: {totals['escaped']} fault(s) escaped the live "
-            "serving layer (ok responses with wrong results)",
+            f"error: {len(report['chaos']['escapes'])} fault(s) "
+            "escaped the live serving layer (wrong ok responses or "
+            "poisoned requests)",
             file=sys.stderr,
         )
         return 1
@@ -1082,9 +1029,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--no-spy", action="store_true",
                          help="skip the spy plot")
     analyze.add_argument("--proofs", action="store_true",
-                         help="prove the six plan safety obligations "
+                         help="prove the five plan safety obligations "
                               "(index width, coverage, shards, image, "
-                              "policy, backend) symbolically instead "
+                              "backend) symbolically instead "
                               "of the pattern report; a refuted "
                               "obligation exits 1")
     analyze.add_argument("--self", dest="self_lint",
@@ -1246,32 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="treat warnings as errors in the exit "
                              "code")
 
-    faults = sub.add_parser(
-        "faults",
-        help="seeded fault-injection campaign over the resilience "
-             "guard (an escaped fault exits 1)",
-    )
-    faults.add_argument("--campaign", default="smoke",
-                        choices=["smoke", "full"],
-                        help="preset: 'smoke' (~56 injections, CI) or "
-                             "'full' (220 injections, overhead "
-                             "measured at the benchmark scale)")
-    faults.add_argument("--seed", type=int, default=0,
-                        help="master seed; the campaign is a pure "
-                             "function of it")
-    faults.add_argument("--json", action="store_true",
-                        help="emit the full report as JSON on stdout")
-    faults.add_argument("--out", default=None, metavar="FILE",
-                        help="also write the JSON report to FILE")
-    faults.add_argument("--no-overhead", action="store_true",
-                        help="skip the clean-path overhead "
-                             "measurement")
-    faults.add_argument("--enforce-overhead", action="store_true",
-                        help="exit 1 when guard overhead exceeds the "
-                             "budget")
-    faults.add_argument("--quiet", action="store_true",
-                        help="suppress per-surface progress lines")
-
     serve = sub.add_parser(
         "serve",
         help="stand up the in-process SpMV server and drive seeded "
@@ -1325,13 +1246,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="chaos-under-load campaign against a live server "
-             "(an escaped fault exits 1)",
+        help="seeded fault campaign against a live server, under "
+             "load or at zero load (an escaped fault exits 1)",
     )
     chaos.add_argument("--preset", default="smoke",
-                       choices=["smoke", "full"],
-                       help="campaign preset (smoke: CI gate; full: "
-                            "more tenants, waves and bursts)")
+                       choices=["smoke", "full", "isolated-smoke",
+                                "isolated-full"],
+                       help="smoke/full: under load; isolated-smoke/"
+                            "isolated-full: zero load, one request "
+                            "per wave")
     chaos.add_argument("--seed", type=int, default=0,
                        help="master seed; the campaign is a pure "
                             "function of it")
@@ -1373,7 +1296,6 @@ COMMANDS = {
     "backends": cmd_backends,
     "spmv": cmd_spmv,
     "verify": cmd_verify,
-    "faults": cmd_faults,
     "serve": cmd_serve,
     "query": cmd_query,
     "chaos": cmd_chaos,

@@ -634,11 +634,11 @@ class PlanPass(CompilerPass):
 class AnalyzePass(CompilerPass):
     """Opt-in symbolic safety proofs over the compiled plan.
 
-    Mounts :mod:`repro.analyze` as a pipeline stage: the six proof
+    Mounts :mod:`repro.analyze` as a pipeline stage: the five proof
     obligations (index-width safety, segment coverage, shard
-    race-freedom, memory-image bounds, policy consistency, backend
-    capability) are proved by abstract interpretation — nothing is
-    executed — and the resulting
+    race-freedom, memory-image bounds, backend capability) are
+    proved by abstract interpretation — nothing is executed — and
+    the resulting
     :class:`~repro.analyze.symbolic.AnalysisReport` is stored as the
     ``analyze_report`` artifact.  ``backend`` pins the engine the
     backend-capability obligation quantifies over (and keys the

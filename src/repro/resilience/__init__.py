@@ -16,14 +16,10 @@ failure modes *injectable* and *survivable*:
   checksums before dispatch, cross-checks sampled rows against the
   naive oracle, retries with rebuild, and falls back to the naive
   engine, logging every incident as a :class:`ResilienceEvent`;
-* :mod:`repro.resilience.campaign` — a campaign runner that injects N
-  seeded faults across every surface and reports
-  detection/containment/escape counts (an escape fails the run),
-  exposed as ``python -m repro faults``;
-* :mod:`repro.resilience.chaos` — the chaos-under-load variant: the
-  same fault surfaces fired at a live :class:`~repro.serve.SpmvServer`
-  under seeded mixed-tenant load, every response audited bitwise
-  (``python -m repro chaos``).
+* :mod:`repro.resilience.chaos` — the fault-campaign engine: seeded
+  faults fired at a live :class:`~repro.serve.SpmvServer`, under load
+  or at zero load (one request per wave), every response audited
+  bitwise; any escape fails the run (``python -m repro chaos``).
 
 See ``docs/RESILIENCE.md`` for the fault taxonomy and guard semantics.
 """
@@ -44,18 +40,12 @@ from repro.resilience.guard import (
     RowOracle,
     guarded_spmv,
 )
-from repro.resilience.campaign import (
-    CAMPAIGN_PRESETS,
-    measure_overhead,
-    render_report,
-    run_campaign,
-    write_report,
-)
 from repro.resilience.chaos import (
     CHAOS_GUARD,
     CHAOS_PRESETS,
     render_chaos_report,
     run_chaos_campaign,
+    write_report,
 )
 
 __all__ = [
@@ -71,13 +61,9 @@ __all__ = [
     "ResilienceLog",
     "RowOracle",
     "guarded_spmv",
-    "CAMPAIGN_PRESETS",
     "CHAOS_GUARD",
     "CHAOS_PRESETS",
-    "measure_overhead",
     "render_chaos_report",
-    "render_report",
-    "run_campaign",
     "run_chaos_campaign",
     "write_report",
 ]

@@ -1,44 +1,76 @@
-"""Chaos-under-load: fault injection against a *live* server.
+"""The fault-campaign engine: seeded faults fired at a live server.
 
-:mod:`repro.resilience.campaign` proves the guard survives each fault
-surface in isolation, one call at a time.  This module raises the bar:
-it stands up a real :class:`~repro.serve.SpmvServer` (admission
-control, batching workers, degradation ladder), drives seeded
-mixed-tenant load through it, and fires
-:class:`~repro.resilience.faults.FaultInjector` surfaces at the live
-serving state between bursts — in-place stream/value bit flips on a
-hot entry, plan-array and backend-scratch flips on the executing
-plan, on-disk cache corruption followed by forced re-warms, and
-shard-worker kills/stalls armed across a whole burst.
+Every campaign stands up a real :class:`~repro.serve.SpmvServer`
+(admission control, batching workers, degradation ladder) over a
+:class:`~repro.serve.PlanRegistry` hardened to :data:`CHAOS_GUARD`,
+then runs *waves*.  Each wave fires one
+:class:`~repro.resilience.faults.FaultInjector` fault at the live
+serving state, drives a seeded burst of requests through the server,
+audits every response bitwise against references computed from
+pristine clones **before** any injection, and finally heals the hit
+entry by swapping a pristine clone back in
+(:meth:`~repro.serve.PlanRegistry.replace`), so waves stay
+independent.
 
-Every response of every burst is then audited bitwise against
-references computed from pristine clones **before** any injection:
+Presets come at two loads:
+
+* **under load** (``smoke``, ``full``) — several tenants over several
+  matrices; a clean phase first (the latency baseline for
+  ``benchmarks/bench_serve.py``), then a mixed-tenant burst per wave;
+* **zero load** (``isolated-smoke``, ``isolated-full``) — no clean
+  phase, one tenant and one request per wave, many waves per surface:
+  each fault is confronted by a single guarded call.
+
+Surfaces (one fault per wave):
+
+=============  =====================================================
+``stream``     bit flip in the entry's position words, in place
+``value``      bit flip in its value payload, in place
+``plan``       byte flip in its compiled plan arrays
+``backend``    float flip in the kernel backend's scratch state
+``cache``      on-disk artifact corruption, then forced re-warms
+``worker``     shard worker killed or stalled during the burst
+``image``      bit flip in the entry's packed HBM memory image, judged
+               by :func:`~repro.verify.verify_memory_image` (sends no
+               request)
+``malformed``  wrong-length, 2-D and complex ``x`` mixed into the burst
+=============  =====================================================
+
+Outcomes:
 
 ==============  ====================================================
 ``contained``   status ``ok`` and bitwise equal to a reference
                 (plan-path or naive) — served correctly through or
-                around the fault.
+                around the fault; for ``image``, a verifier-clean flip
+                (the round-trip rule proved it benign).
 ``detected``    status ``failed`` — the guard refused to answer
-                (e.g. stream digest mismatch): correctness preserved
-                by rejection.
+                (e.g. stream digest mismatch); for ``image``, the
+                verifier refused the image.
 ``shed``        status ``shed`` — dropped by admission or deadline
                 policy, no result returned.
 ``escaped``     status ``ok`` but **wrong** — the only bad outcome,
                 and the campaign gate: any escape fails the run.
 ==============  ====================================================
 
-After each wave the campaign heals the hit tenant by swapping a fresh
-pristine clone into the registry
-(:meth:`~repro.serve.PlanRegistry.replace`), mirroring an operator
-re-ingesting a matrix, so waves stay independent.  The report also
-carries clean-phase vs chaos-phase latency percentiles for
-``benchmarks/bench_serve.py``.
+``malformed`` waves are stricter: each malformed request must come
+back shed as ``bad_request``, and a well-formed request in the burst
+that fails or is shed for any reason but its deadline counts as an
+escape (a batch poisoned by its neighbour).
+
+Each wave is also ``flagged`` when the serving stack logged at least
+one incident (a guard event or a cache quarantine) while confronting
+its fault; a surface's ``flagged`` count is its flagged waves, so a
+fault that was contained without ever being noticed shows up as
+contained but unflagged.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
 import tempfile
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,8 +93,14 @@ CHAOS_GUARD = GuardConfig(
     max_retry_wall_s=2.0,
 )
 
-#: Chaos presets.  ``smoke`` is the CI gate; ``full`` widens every
-#: axis (tenants, bursts, waves per surface).
+#: Every fault surface, in wave order.
+SURFACES = ("stream", "value", "plan", "backend", "cache", "worker",
+            "image", "malformed")
+
+#: Campaign presets.  ``smoke``/``full`` run under load (``smoke`` is
+#: the serving CI gate); ``isolated-smoke``/``isolated-full`` run at
+#: zero load (``isolated-smoke`` is the fault CI gate,
+#: ``isolated-full`` produces ``benchmarks/results/faults_campaign.json``).
 CHAOS_PRESETS: Dict[str, Dict[str, Any]] = {
     "smoke": {
         "matrices": [("tmt_sym", 0.5), ("mip1", 0.3)],
@@ -76,9 +114,7 @@ CHAOS_PRESETS: Dict[str, Dict[str, Any]] = {
         "max_total": 96,
         "clean_requests": 60,
         "burst_requests": 24,
-        "waves_per_surface": 1,
-        "surfaces": ["stream", "value", "plan", "backend", "cache",
-                     "worker"],
+        "waves": dict.fromkeys(SURFACES, 1),
     },
     "full": {
         "matrices": [("tmt_sym", 1.0), ("mip1", 0.5), ("rim", 0.5)],
@@ -92,11 +128,44 @@ CHAOS_PRESETS: Dict[str, Dict[str, Any]] = {
         "max_total": 160,
         "clean_requests": 200,
         "burst_requests": 60,
-        "waves_per_surface": 3,
-        "surfaces": ["stream", "value", "plan", "backend", "cache",
-                     "worker"],
+        "waves": dict.fromkeys(SURFACES, 3),
+    },
+    "isolated-smoke": {
+        "matrices": [("tmt_sym", 1.0)],
+        "tenants": [("solo", 0, 1.0, None, 4)],
+        "workers": 1,
+        "max_queue_per_plan": 8,
+        "max_total": 8,
+        "clean_requests": 0,
+        "burst_requests": 1,
+        "waves": {"stream": 10, "value": 10, "plan": 12, "backend": 6,
+                  "cache": 10, "worker": 8, "image": 6, "malformed": 4},
+    },
+    "isolated-full": {
+        "matrices": [("tmt_sym", 1.0)],
+        "tenants": [("solo", 0, 1.0, None, 4)],
+        "workers": 1,
+        "max_queue_per_plan": 8,
+        "max_total": 8,
+        "clean_requests": 0,
+        "burst_requests": 1,
+        "waves": {"stream": 40, "value": 40, "plan": 50, "backend": 20,
+                  "cache": 40, "worker": 30, "image": 20,
+                  "malformed": 10},
     },
 }
+
+#: Outcome tally keys, per wave, per surface and in the totals.
+_TALLY = ("requests", "contained", "detected", "shed", "escaped")
+
+
+def _malformed_inputs(ncols: int) -> Dict[str, np.ndarray]:
+    """One input per violation of the server's ``x`` contract."""
+    return {
+        "wrong_length": np.ones(ncols + 1),
+        "two_d": np.ones((2, ncols)),
+        "complex": np.ones(ncols) + 1j,
+    }
 
 
 class _ChaosRun:
@@ -115,8 +184,11 @@ class _ChaosRun:
                 prefix="repro-chaos-"
             )
             cache_dir = self._tmp.name
-        self.cache_dir = cache_dir
+        self.cache_dir = str(cache_dir)
         self.pristine: Dict[str, Any] = {}
+        self.quarantines: List[Dict[str, Any]] = []
+        self.hw_configs: Dict[str, Any] = {}
+        self.images: Dict[str, Any] = {}
         self.refs: Dict[str, List[Dict[str, np.ndarray]]] = {}
 
     # -- setup ----------------------------------------------------------
@@ -132,19 +204,24 @@ class _ChaosRun:
         )
         from repro.synth import load_workload
 
-        cache = ArtifactCache(self.cache_dir)
         self.registry = PlanRegistry(
-            cache=cache, guard_config=CHAOS_GUARD, seed=self.seed,
+            cache=ArtifactCache(self.cache_dir,
+                                on_event=self._on_cache_event),
+            guard_config=CHAOS_GUARD, seed=self.seed,
         )
         self.plan_names: List[str] = []
+        self.matrices: List[Dict[str, Any]] = []
         ncols_of: Dict[str, int] = {}
         for workload, scale in self.spec["matrices"]:
             name = f"{workload}@{scale:g}"
             coo = load_workload(workload, scale)
             entry = self.registry.register(name, coo=coo)
             self.pristine[name] = clone_spasm(entry.spasm)
+            self.hw_configs[name] = entry.hw_config
             self.plan_names.append(name)
             ncols_of[name] = int(entry.spasm.shape[1])
+            self.matrices.append({"name": name, "nnz": int(coo.nnz),
+                                  "shape": list(entry.spasm.shape)})
             self.progress(f"registered {name}: shape="
                           f"{tuple(entry.spasm.shape)} nnz={coo.nnz}")
         self.tenants = [
@@ -177,135 +254,261 @@ class _ChaosRun:
             workers=self.spec["workers"],
         )
 
+    def _on_cache_event(self, kind: str, details: Dict[str, Any]) -> None:
+        if kind == "quarantine":
+            self.quarantines.append(details)
+
+    def load(self, n_requests: int, seed: int) -> Any:
+        from repro.serve import run_load
+
+        return run_load(self.server, self.tenants, self.probes,
+                        n_requests, seed=seed)
+
     # -- verification ---------------------------------------------------
 
-    def classify(self, report: Any) -> Dict[str, Any]:
-        """Audit one load report bitwise; tally outcome classes."""
-        tally = {"requests": 0, "contained": 0, "detected": 0,
-                 "shed": 0, "escaped": 0}
+    def classify(self, records: List[Any],
+                 strict: bool = False) -> Dict[str, Any]:
+        """Audit load records bitwise; tally outcome classes.
+
+        ``strict`` (malformed waves): a well-formed request that fails
+        or is shed for any reason but its deadline was poisoned by a
+        neighbour, so it counts as an escape.
+        """
+        from repro.serve import SHED_DEADLINE
+
+        tally: Dict[str, Any] = dict.fromkeys(_TALLY, 0)
         escapes: List[Dict[str, Any]] = []
-        for record in report.records:
+        for record in records:
             tally["requests"] += 1
             response = record.response
-            if response.status == "shed":
-                tally["shed"] += 1
-            elif response.status == "failed":
-                tally["detected"] += 1
-            else:
+            outcome = {"shed": "shed", "failed": "detected"}.get(
+                response.status, "escaped"
+            )
+            if response.ok:
                 refs = self.refs[record.tenant][record.probe]
                 if (np.array_equal(response.y, refs["naive"])
                         or np.array_equal(response.y, refs["plan"])):
-                    tally["contained"] += 1
-                else:
-                    tally["escaped"] += 1
-                    escapes.append({
-                        "tenant": record.tenant,
-                        "plan": record.plan,
-                        "probe": record.probe,
-                        "level": response.level,
-                    })
+                    outcome = "contained"
+            if strict and outcome != "contained" and not (
+                outcome == "shed"
+                and response.detail.startswith(SHED_DEADLINE)
+            ):
+                outcome = "escaped"
+            tally[outcome] += 1
+            if outcome == "escaped":
+                escapes.append({
+                    "tenant": record.tenant,
+                    "plan": record.plan,
+                    "probe": record.probe,
+                    "status": response.status,
+                    "level": response.level,
+                })
         tally["escapes"] = escapes
         return tally
 
-    # -- injection ------------------------------------------------------
+    # -- waves ----------------------------------------------------------
 
-    def inject(self, surface: str, wave: int) -> Dict[str, Any]:
-        """Fire one fault at the live server; returns wave metadata.
+    def wave(self, surface: str, idx: int) -> Tuple[Dict[str, Any], Any]:
+        """Inject one fault, audit its burst, heal the target.
 
-        Returns the fault record (if any) plus a ``heal`` list of plan
-        names to restore after the burst and, for worker faults, the
-        armed context manager.
+        Returns the wave's tally and its load report (``None`` for
+        ``image`` waves, which send no request).
         """
         target = self.plan_names[
             int(self.injector.rng.integers(len(self.plan_names)))
         ]
-        meta: Dict[str, Any] = {"surface": surface, "wave": wave,
-                                "target": target, "record": None,
-                                "heal": [], "worker_ctx": None}
-        if surface in ("stream", "value", "plan", "backend"):
-            lease = self.registry.acquire(target)
-            try:
-                if surface == "stream":
-                    record = self.injector.flip_stream_word(lease.spasm)
-                elif surface == "value":
-                    record = self.injector.flip_value(lease.spasm)
-                else:
-                    plan = lease.spasm.plan()
-                    if surface == "plan":
-                        record = self.injector.flip_plan_array(plan)
-                    else:
-                        from repro.exec.backends import resolve_backend
-
-                        engine = resolve_backend(None, plan=plan,
-                                                 op="spmv").name
-                        record = self.injector.flip_backend_state(
-                            plan, engine, float_only=True
-                        )
-            finally:
-                self.registry.release(lease)
-            meta["record"] = record
-            meta["heal"] = [target]
-        elif surface == "cache":
-            record = self.injector.corrupt_cache_entry(
-                self.registry.cache
-            )
-            meta["record"] = record
-            # Force re-warms through the corrupted cache: evict every
-            # idle plan so the next acquire reloads from disk.
-            for name in self.plan_names:
-                self.registry.evict(name)
+        burst_seed = self.seed + 101 * idx
+        incidents_before = self._incidents()
+        record, audit = None, None
+        if surface == "image":
+            record, audit = self._image(target)
+            burst = None
+        elif surface == "malformed":
+            burst, audit = self._malformed(target, burst_seed)
         elif surface == "worker":
-            meta["worker_ctx"] = self.injector.worker_fault(
-                mode=("kill", "stall")[wave % 2], nth=0,
-            )
+            with _shard_storm(self) as plans:
+                rng = self.injector.rng
+                mode = ("kill", "kill", "stall")[int(rng.integers(0, 3))]
+                shards = len(plans[target].shard_bounds(2))
+                with self.injector.worker_fault(
+                    mode=mode, nth=int(rng.integers(0, shards)),
+                ) as record:
+                    burst = self.load(self.spec["burst_requests"],
+                                      burst_seed)
         else:
-            raise ValueError(f"unknown chaos surface {surface!r}")
-        return meta
+            record = self._inject(surface, target)
+            burst = self.load(self.spec["burst_requests"], burst_seed)
+        if audit is None:
+            audit = self.classify(burst.records)
+        # The verifier's refusal is the image surface's incident.
+        flagged = (self._incidents() > incidents_before
+                   or (surface == "image" and audit["detected"] > 0))
+        self.registry.replace(target, clone_spasm(self.pristine[target]))
+        return {
+            "wave": idx,
+            "surface": surface,
+            "target": target,
+            "fault": record.to_dict() if record is not None else None,
+            "flagged": flagged,
+            **audit,
+        }, burst
 
-    def heal(self, meta: Dict[str, Any]) -> None:
-        """Restore pristine state for every plan a wave touched."""
-        for name in meta["heal"]:
-            self.registry.replace(name, clone_spasm(self.pristine[name]))
+    def _incidents(self) -> int:
+        """Guard events plus cache quarantines logged so far.
+
+        Registry housekeeping (``evict``) is not an incident.
+        """
+        counts = self.registry.log.counts()
+        counts.pop("evict", None)
+        return sum(counts.values()) + len(self.quarantines)
+
+    def _inject(self, surface: str, target: str) -> Any:
+        """Corrupt live serving state in place; returns the record.
+
+        Entry state is flipped through a lease, never through
+        ``registry.replace``, which would re-pin the corruption as
+        trusted.
+        """
+        if surface not in ("stream", "value", "plan", "backend", "cache"):
+            raise ValueError(f"unknown chaos surface {surface!r}")
+        lease = self.registry.acquire(target)
+        try:
+            if surface == "cache":
+                # The artifact the target's live plan was loaded from
+                # (or persisted to) by the acquire above.
+                from repro.exec.plan import PLAN_STAGE, _plan_cache_key
+
+                cache = self.registry.cache
+                path = cache.path(
+                    PLAN_STAGE,
+                    _plan_cache_key(lease.spasm.plan().digest, None, None),
+                )
+                return self.injector.corrupt_cache_entry(
+                    cache, entry=os.path.basename(path)
+                )
+            if surface == "stream":
+                return self.injector.flip_stream_word(lease.spasm)
+            if surface == "value":
+                return self.injector.flip_value(lease.spasm)
+            plan = lease.spasm.plan()
+            if surface == "plan":
+                return self.injector.flip_plan_array(plan)
+            from repro.exec.backends import resolve_backend
+
+            engine = resolve_backend(None, plan=plan, op="spmv").name
+            return self.injector.flip_backend_state(
+                plan, engine, float_only=True
+            )
+        finally:
+            self.registry.release(lease)
+            if surface == "cache":
+                # Force the re-warm through the corrupted artifact.
+                self.registry.evict(target)
+
+    def _image(self, target: str) -> Tuple[Any, Dict[str, Any]]:
+        """Flip a bit in the target's packed image; verifier judges."""
+        from repro.hw.memory_image import pack_images
+        from repro.verify import verify_memory_image
+
+        spasm = self.pristine[target]
+        if target not in self.images:
+            self.images[target] = pack_images(
+                spasm, self.hw_configs[target]
+            )
+        mutated, record = self.injector.flip_image_bit(
+            self.images[target]
+        )
+        audit: Dict[str, Any] = dict.fromkeys(_TALLY, 0)
+        # A verifier-clean flip is benign: the round-trip rule just
+        # proved every PE stream unpacks to the encoded values.
+        clean = verify_memory_image(mutated, spasm=spasm).ok
+        audit["contained" if clean else "detected"] = 1
+        audit["escapes"] = []
+        return record, audit
+
+    def _malformed(self, target: str,
+                   seed: int) -> Tuple[Any, Dict[str, Any]]:
+        """A burst with one request per ``x`` contract violation."""
+        ncols = int(self.pristine[target].shape[1])
+        bad = {
+            kind: self.server.submit(target, x, tenant="malformed")
+            for kind, x in _malformed_inputs(ncols).items()
+        }
+        burst = self.load(self.spec["burst_requests"], seed)
+        audit = self.classify(burst.records, strict=True)
+        for kind, future in bad.items():
+            response = future.result()
+            audit["requests"] += 1
+            if (response.status == "shed"
+                    and response.detail.startswith("bad_request")):
+                audit["shed"] += 1
+            else:
+                audit["escaped"] += 1
+                audit["escapes"].append({
+                    "tenant": "malformed", "plan": target,
+                    "input": kind, "status": response.status,
+                    "level": response.level,
+                })
+        return burst, audit
 
     def close(self) -> None:
         if self._tmp is not None:
             self._tmp.cleanup()
 
 
-def _shard_storm(run: "_ChaosRun", enable: bool) -> Dict[str, int]:
-    """Force the shard path on small plans for worker waves.
+@contextlib.contextmanager
+def _shard_storm(run: _ChaosRun) -> Iterator[Dict[str, Any]]:
+    """Force the shard path on every hot plan for one worker wave.
 
-    Serving-sized chaos matrices never cross the auto-shard
-    thresholds, so worker faults would be unreachable; lowering
-    ``MIN_SHARD_SLOTS`` and pinning two jobs per hot plan makes every
-    burst dispatch through the pool.  Returns the saved constants for
-    restore.
+    Serving-sized matrices never cross the auto-shard thresholds, so
+    worker faults would be unreachable; lowering ``MIN_SHARD_SLOTS``
+    and pinning two jobs per plan makes every dispatch go through the
+    pool.  Yields the pinned plans by name; both are undone on exit.
     """
     import repro.exec.plan as plan_mod
 
-    saved = {"min": plan_mod.MIN_SHARD_SLOTS}
-    if enable:
-        plan_mod.MIN_SHARD_SLOTS = 1
+    saved = plan_mod.MIN_SHARD_SLOTS
+    plan_mod.MIN_SHARD_SLOTS = 1
+    plans: Dict[str, Any] = {}
+    try:
         for name in run.plan_names:
             lease = run.registry.acquire(name)
             try:
-                lease.spasm.plan().override_auto_jobs(2)
+                plans[name] = lease.spasm.plan()
             finally:
                 run.registry.release(lease)
-    return saved
+            plans[name].override_auto_jobs(2)
+        yield plans
+    finally:
+        plan_mod.MIN_SHARD_SLOTS = saved
+        for plan in plans.values():
+            plan.override_auto_jobs(None)
+
+
+def _resolve_preset(preset: Any) -> Tuple[Dict[str, Any], str]:
+    if isinstance(preset, dict):
+        return preset, "custom"
+    try:
+        return CHAOS_PRESETS[preset], str(preset)
+    except KeyError:
+        raise KeyError(
+            f"unknown chaos preset {preset!r}; choose from "
+            f"{sorted(CHAOS_PRESETS)}"
+        ) from None
 
 
 def run_chaos_campaign(preset: Any = "smoke", seed: int = 0,
                        cache_dir: Optional[str] = None,
                        progress: Optional[Callable[[str], None]] = None,
                        ) -> Dict[str, Any]:
-    """Run the chaos-under-load campaign; returns a JSON-able report.
+    """Run a fault campaign; returns a JSON-able report.
 
     Parameters
     ----------
     preset:
-        A :data:`CHAOS_PRESETS` key (``smoke``/``full``) or an explicit
-        preset dict with the same schema.
+        A :data:`CHAOS_PRESETS` key or an explicit preset dict with
+        the same schema (``waves`` maps surface -> wave count;
+        ``clean_requests=0`` skips the clean phase).
     seed:
         Master seed: matrices, probe pools, tenant sequences and every
         injection are a pure function of it.
@@ -313,102 +516,66 @@ def run_chaos_campaign(preset: Any = "smoke", seed: int = 0,
         Artifact-cache directory (a throwaway temp dir by default —
         the cache surface corrupts entries on disk).
     progress:
-        Optional one-line-per-phase callback.
+        Optional one-line-per-wave callback.
     """
-    import repro.exec.plan as plan_mod
+    from repro.serve.loadgen import LoadReport
 
-    from repro.serve import run_load
-
-    if isinstance(preset, dict):
-        spec, preset_name = preset, "custom"
-    else:
-        try:
-            spec = CHAOS_PRESETS[preset]
-        except KeyError:
-            raise KeyError(
-                f"unknown chaos preset {preset!r}; choose from "
-                f"{sorted(CHAOS_PRESETS)}"
-            ) from None
-        preset_name = preset
+    spec, preset_name = _resolve_preset(preset)
     run = _ChaosRun(spec, seed, cache_dir, progress)
     waves: List[Dict[str, Any]] = []
+    chaos_records: List[Any] = []
+    chaos_wall = 0.0
+    clean: Any = None
     try:
         run.build()
         with run.server:
-            run.progress("clean phase")
-            clean = run_load(
-                run.server, run.tenants, run.probes,
-                spec["clean_requests"], seed=seed + 1,
-            )
-            clean_audit = run.classify(clean)
-
-            chaos_records: List[Any] = []
-            chaos_wall = 0.0
-            wave_idx = 0
-            for surface in spec["surfaces"]:
-                for repeat in range(spec["waves_per_surface"]):
-                    wave_idx += 1
-                    meta = run.inject(surface, wave_idx)
-                    storm = surface == "worker"
-                    saved = _shard_storm(run, storm)
-                    try:
-                        ctx = meta.pop("worker_ctx")
-                        if ctx is not None:
-                            with ctx as record:
-                                meta["record"] = record
-                                burst = run_load(
-                                    run.server, run.tenants,
-                                    run.probes,
-                                    spec["burst_requests"],
-                                    seed=seed + 101 * wave_idx,
-                                )
-                        else:
-                            burst = run_load(
-                                run.server, run.tenants, run.probes,
-                                spec["burst_requests"],
-                                seed=seed + 101 * wave_idx,
-                            )
-                    finally:
-                        plan_mod.MIN_SHARD_SLOTS = saved["min"]
-                    audit = run.classify(burst)
-                    record = meta["record"]
-                    waves.append({
-                        "wave": wave_idx,
-                        "surface": surface,
-                        "target": meta["target"],
-                        "fault": (record.to_dict()
-                                  if record is not None else None),
-                        **{k: v for k, v in audit.items()},
-                    })
-                    chaos_records.extend(burst.records)
-                    chaos_wall += burst.wall_s
-                    run.heal(meta)
+            if spec["clean_requests"]:
+                run.progress("clean phase")
+                clean = run.load(spec["clean_requests"], seed + 1)
+            idx = 0
+            for surface, count in spec["waves"].items():
+                for _ in range(int(count)):
+                    idx += 1
+                    wave, burst = run.wave(surface, idx)
+                    waves.append(wave)
+                    if burst is not None:
+                        chaos_records.extend(burst.records)
+                        chaos_wall += burst.wall_s
                     run.progress(
-                        f"wave {wave_idx} [{surface}]: "
-                        f"contained={audit['contained']} "
-                        f"detected={audit['detected']} "
-                        f"shed={audit['shed']} "
-                        f"escaped={audit['escaped']}"
+                        f"wave {idx} [{surface}]: "
+                        + " ".join(f"{k}={wave[k]}" for k in _TALLY[1:])
                     )
-            from repro.serve.loadgen import LoadReport
-
-            chaos = LoadReport(records=chaos_records,
-                               wall_s=max(chaos_wall, 1e-9))
             server_stats = run.server.stats()
     finally:
         run.close()
 
-    totals = {"requests": 0, "contained": 0, "detected": 0,
-              "shed": 0, "escaped": 0}
+    surfaces: Dict[str, Dict[str, int]] = {}
     escapes: List[Dict[str, Any]] = []
     for wave in waves:
-        for key in ("requests", "contained", "detected", "shed",
-                    "escaped"):
-            totals[key] += wave[key]
-        escapes.extend(wave.pop("escapes"))
-
-    report = {
-        "campaign": "chaos-under-load",
+        escapes.extend(
+            {"wave": wave["wave"], "surface": wave["surface"], **e}
+            for e in wave.pop("escapes")
+        )
+        tally = surfaces.setdefault(
+            wave["surface"],
+            dict.fromkeys(("injections", "flagged") + _TALLY, 0),
+        )
+        tally["injections"] += 1
+        tally["flagged"] += int(wave["flagged"])
+        for key in _TALLY:
+            tally[key] += wave[key]
+    totals = {
+        key: sum(s[key] for s in surfaces.values())
+        for key in ("injections", "flagged") + _TALLY
+    }
+    clean_audit = run.classify(clean.records) if clean else None
+    if clean_audit is not None:
+        escapes.extend({"wave": 0, "surface": "clean", **e}
+                       for e in clean_audit.pop("escapes"))
+    chaos = LoadReport(records=chaos_records,
+                       wall_s=max(chaos_wall, 1e-9))
+    return {
+        "campaign": "chaos",
         "preset": preset_name,
         "seed": seed,
         "guard": {
@@ -417,48 +584,57 @@ def run_chaos_campaign(preset: Any = "smoke", seed: int = 0,
                           "check_interval", "check_rows",
                           "max_attempts", "max_retry_wall_s")
         },
-        "clean": {
-            **clean.summary(),
-            "audit": {k: v for k, v in clean_audit.items()
-                      if k != "escapes"},
-        },
+        "matrices": run.matrices,
+        "clean": (None if clean is None
+                  else {**clean.summary(), "audit": clean_audit}),
         "chaos": {
             "latency_ms": chaos.percentiles_ms(),
             "waves": waves,
+            "surfaces": surfaces,
             "totals": totals,
             "escapes": escapes,
         },
         "server": server_stats,
-        "zero_escapes": (totals["escaped"] == 0
-                         and clean_audit["escaped"] == 0),
+        "zero_escapes": not escapes,
     }
-    return report
 
 
 def render_chaos_report(report: Dict[str, Any]) -> str:
-    """Human-readable chaos campaign summary."""
-    totals = report["chaos"]["totals"]
+    """Human-readable campaign summary: one line per surface."""
+    chaos = report["chaos"]
+    totals = chaos["totals"]
     clean = report["clean"]
     lines = [
-        f"chaos-under-load: preset={report['preset']} "
-        f"seed={report['seed']}",
-        f"  clean : {clean['requests']} requests, "
-        f"qps={clean['qps']:.1f}, "
-        f"p99={clean['latency_ms']['p99']:.2f} ms",
-        f"  chaos : {totals['requests']} requests over "
-        f"{len(report['chaos']['waves'])} waves, "
-        f"p99={report['chaos']['latency_ms']['p99']:.2f} ms",
-        f"  outcome: contained={totals['contained']} "
-        f"detected={totals['detected']} shed={totals['shed']} "
-        f"escaped={totals['escaped']}",
+        f"chaos campaign: preset={report['preset']} "
+        f"seed={report['seed']} "
+        + ("(zero load)" if clean is None else "(under load)"),
     ]
-    for wave in report["chaos"]["waves"]:
+    if clean is not None:
         lines.append(
-            f"    wave {wave['wave']:>2} {wave['surface']:<8} "
-            f"-> contained={wave['contained']} "
-            f"detected={wave['detected']} shed={wave['shed']} "
-            f"escaped={wave['escaped']}"
+            f"  clean : {clean['requests']} requests, "
+            f"qps={clean['qps']:.1f}, "
+            f"p99={clean['latency_ms']['p99']:.2f} ms"
+        )
+    lines.append(
+        f"  chaos : {totals['requests']} requests over "
+        f"{totals['injections']} waves, "
+        f"p99={chaos['latency_ms']['p99']:.2f} ms"
+    )
+    for surface, tally in list(chaos["surfaces"].items()) + [
+        ("totals", totals)
+    ]:
+        lines.append(
+            f"    {surface:<9} waves={tally['injections']:<4} "
+            f"flagged={tally['flagged']:<4} "
+            + " ".join(f"{k}={tally[k]}" for k in _TALLY[1:])
         )
     verdict = "PASS" if report["zero_escapes"] else "FAIL (escapes!)"
     lines.append(f"  gate  : zero escapes -> {verdict}")
     return "\n".join(lines)
+
+
+def write_report(report: Dict[str, Any], path: str) -> None:
+    """Persist a campaign report as sorted, indented JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -212,15 +212,19 @@ class FaultInjector:
 
     def corrupt_cache_entry(self, cache: Any,
                             mode: Optional[str] = None,
+                            entry: Optional[str] = None,
                             ) -> Optional[FaultRecord]:
         """Truncate, zero or garbage one on-disk ``.npz`` cache entry.
 
+        ``entry`` names the file to hit (a random entry by default).
         Returns ``None`` when the cache holds no entries.
         """
-        entries = cache.entries()
-        if not entries:
-            return None
-        name = entries[int(self.rng.integers(0, len(entries)))]
+        name = entry
+        if name is None:
+            entries = cache.entries()
+            if not entries:
+                return None
+            name = entries[int(self.rng.integers(0, len(entries)))]
         path = os.path.join(cache.cache_dir, name)
         if mode is None:
             mode = ("truncate", "zero", "garbage")[

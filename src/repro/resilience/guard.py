@@ -29,16 +29,18 @@ the integrity machinery the fast paths otherwise lack:
 
 Every incident is appended to a :class:`ResilienceLog` as a structured
 :class:`ResilienceEvent`; the clean path costs one identity check plus
-the amortized sampled cross-check (measured ≤ 5 % — see the campaign
-report in ``benchmarks/results/``).
+the amortized sampled cross-check (``guard.overhead_us`` in the traced
+``spmvbench`` run).
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
+import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,21 +104,40 @@ class ResilienceEvent:
 
 
 class ResilienceLog:
-    """Append-only log of guard incidents."""
+    """Bounded, thread-safe log of guard incidents.
+
+    Keeps the latest :attr:`CAPACITY` events in a ring plus running
+    per-kind counters, so a long-lived server sharing one log stays
+    fixed in memory while :meth:`counts` stays exact over its whole
+    lifetime at O(kinds) per call.
+    """
+
+    #: Events retained by the ring.
+    CAPACITY = 4096
 
     def __init__(self) -> None:
-        self.events: List[ResilienceEvent] = []
+        self._ring: Deque[ResilienceEvent] = collections.deque(
+            maxlen=self.CAPACITY
+        )
+        self._counts: Dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def record(self, event: ResilienceEvent) -> ResilienceEvent:
-        self.events.append(event)
+        with self._lock:
+            self._ring.append(event)
+            self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
         return event
 
+    @property
+    def events(self) -> List[ResilienceEvent]:
+        """Snapshot of the retained events, oldest first."""
+        with self._lock:
+            return list(self._ring)
+
     def counts(self) -> Dict[str, int]:
-        """Event tally by kind."""
-        tally: Dict[str, int] = {}
-        for event in self.events:
-            tally[event.kind] = tally.get(event.kind, 0) + 1
-        return tally
+        """Event tally by kind, over every event ever recorded."""
+        with self._lock:
+            return dict(self._counts)
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         return [event.to_dict() for event in self.events]
@@ -125,23 +146,23 @@ class ResilienceLog:
         return "\n".join(event.render() for event in self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._ring)
 
 
 @dataclasses.dataclass(frozen=True)
 class GuardConfig:
     """Knobs of the guarded execution layer.
 
-    The defaults keep the clean path within the ≤ 5 % overhead budget;
-    the fault campaign tightens every interval to 1 so each injected
-    fault is confronted on the very next call.
+    The defaults keep the clean path lean; the fault campaign's
+    :data:`~repro.resilience.chaos.CHAOS_GUARD` tightens every interval
+    to 1 so each injected fault is confronted on the very next call.
     """
 
     #: Validate a newly acquired plan before its first dispatch.
     validate_plan: bool = True
     #: Additionally run the symbolic proof obligations of
     #: :mod:`repro.analyze` (segment coverage, shard disjointness,
-    #: index-width, policy consistency) on a newly acquired plan; a
+    #: index-width, backend capability) on a newly acquired plan; a
     #: refuted obligation is treated like a failed validation
     #: (detect -> rebuild).  Off by default: strictly stronger than
     #: ``validate_plan`` but several times the acquisition cost.
@@ -167,8 +188,8 @@ class GuardConfig:
     #: ``0`` disables the cap.  A per-request deadline passed to the
     #: call tightens this further.
     max_retry_wall_s: float = 30.0
-    #: Allow the naive fallback (the campaign disables it to prove
-    #: detection alone would catch everything).
+    #: Allow the naive fallback (disabling it proves detection alone
+    #: would catch everything).
     fallback: bool = True
 
 
@@ -300,7 +321,7 @@ class ExecutionGuard:
         self.spasm = spasm
         self.config = config or GuardConfig()
         self.cache = cache
-        self.log = log or ResilienceLog()
+        self.log = log if log is not None else ResilienceLog()
         self.backend = backend
         self.expected_digest = stream_digest(spasm)
         self._rng = np.random.default_rng(seed)

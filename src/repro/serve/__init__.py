@@ -27,6 +27,7 @@ See ``docs/SERVE.md``.
 """
 
 from repro.serve.admission import (
+    SHED_BAD_REQUEST,
     SHED_CLOSED,
     SHED_DEADLINE,
     SHED_OVERLOAD,
@@ -65,6 +66,7 @@ from repro.serve.server import (
 __all__ = [
     "LEVELS",
     "SERVE_GUARD",
+    "SHED_BAD_REQUEST",
     "SHED_CLOSED",
     "SHED_DEADLINE",
     "SHED_OVERLOAD",

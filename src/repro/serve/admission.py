@@ -3,7 +3,8 @@
 The server never buffers unbounded work.  Each registered plan gets a
 bounded FIFO; a global bound caps total queued requests across plans.
 When either bound is hit — or a request arrives with its deadline
-already spent — the request is *shed*: rejected at the door with a
+already spent, or breaks the server's input contract — the request is
+*shed*: rejected at the door with a
 structured reason, instead of being accepted and then timing out
 deep inside the engine.  Workers dequeue round-robin across plans so
 one hot tenant cannot starve the rest, and can drain additional
@@ -22,6 +23,7 @@ SHED_QUEUE_FULL = "queue_full"
 SHED_OVERLOAD = "overload"
 SHED_DEADLINE = "deadline"
 SHED_CLOSED = "closed"
+SHED_BAD_REQUEST = "bad_request"
 
 
 class RequestShed(RuntimeError):
@@ -75,12 +77,19 @@ class AdmissionController:
 
     # -- producer side --------------------------------------------------
 
-    def submit(self, item: Any) -> None:
-        """Admit ``item`` or raise :class:`RequestShed`."""
+    def submit(self, item: Any, problem: str = "") -> None:
+        """Admit ``item`` or raise :class:`RequestShed`.
+
+        A non-empty ``problem`` (the caller's input-contract verdict)
+        sheds the item as ``bad_request`` unless the controller is
+        already closed.
+        """
         with self._lock:
             self.submitted += 1
             if self._closed:
                 self._shed_locked(SHED_CLOSED, "server is shutting down")
+            if problem:
+                self._shed_locked(SHED_BAD_REQUEST, problem)
             deadline = getattr(item, "deadline", None)
             if deadline is not None:
                 left = float(deadline.remaining())

@@ -70,7 +70,7 @@ class DegradationLadder:
                 f"need 0 <= restore_at <= degrade_at, got "
                 f"restore_at={restore_at} degrade_at={degrade_at}"
             )
-        self.log = log or ResilienceLog()
+        self.log = log if log is not None else ResilienceLog()
         self.degrade_at = float(degrade_at)
         self.restore_at = float(restore_at)
         self.hold = int(hold)

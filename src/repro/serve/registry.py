@@ -59,12 +59,14 @@ class PlanEntry:
     """
 
     def __init__(self, name: str, spasm: Any,
-                 digest: Optional[str] = None):
+                 digest: Optional[str] = None, hw_config: Any = None):
         self.name = name
         self.spasm = spasm
-        #: COO content digest (tuned-record key); ``None`` when the
-        #: entry was registered from a pre-encoded stream.
+        #: COO content digest (tuned-record key) and the compiler's
+        #: hardware pick; both ``None`` when the entry was registered
+        #: from a pre-encoded stream.
         self.digest = digest
+        self.hw_config = hw_config
         self.tuned: Any = None
         self.guard: Optional[ExecutionGuard] = None
         self.hot = False
@@ -142,7 +144,7 @@ class PlanRegistry:
         self.cache = cache
         self.byte_budget = int(byte_budget) if byte_budget else None
         self.guard_config = guard_config or SERVE_GUARD
-        self.log = log or ResilienceLog()
+        self.log = log if log is not None else ResilienceLog()
         self.seed = int(seed)
         self._lock = threading.RLock()
         self._entries: Dict[str, PlanEntry] = {}
@@ -166,7 +168,7 @@ class PlanRegistry:
             raise ValueError(
                 "register() needs exactly one of coo= or spasm="
             )
-        digest = None
+        digest = hw_config = None
         if coo is not None:
             from repro.core import SpasmCompiler
             from repro.pipeline.cache import matrix_digest
@@ -176,11 +178,11 @@ class PlanRegistry:
                 self.cache.cache_dir if self.cache is not None
                 else None
             )
-            spasm = SpasmCompiler(cache_dir=cache_dir).compile(
-                coo
-            ).spasm
+            program = SpasmCompiler(cache_dir=cache_dir).compile(coo)
+            spasm, hw_config = program.spasm, program.hw_config
         with self._lock:
-            entry = PlanEntry(name, spasm, digest=digest)
+            entry = PlanEntry(name, spasm, digest=digest,
+                              hw_config=hw_config)
             self._entries[name] = entry
             if warm:
                 self._warm(entry)
@@ -190,8 +192,8 @@ class PlanRegistry:
     def replace(self, name: str, spasm: Any) -> PlanEntry:
         """Swap the encoded stream behind ``name`` (heal/inject path).
 
-        The chaos campaign uses this to both corrupt a live tenant
-        (swap in a sacrificial clone) and heal it afterwards.
+        The fault campaign heals a corrupted entry with it after each
+        wave.
         Outstanding leases keep executing on their snapshot; new
         acquires see the new stream.
         """
@@ -205,6 +207,15 @@ class PlanRegistry:
         """Registered matrix names, registration order."""
         with self._lock:
             return list(self._entries)
+
+    def ncols(self, name: str) -> Optional[int]:
+        """Column count of a registered matrix; ``None`` when unknown.
+
+        Lock-free (one atomic dict read): ``submit`` calls it on every
+        request and must not queue behind a warm holding the lock.
+        """
+        entry = self._entries.get(name)
+        return None if entry is None else int(entry.spasm.shape[1])
 
     def warmup(self) -> Dict[str, Any]:
         """Warm every cold entry (plan + tuned record from the cache).

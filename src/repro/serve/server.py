@@ -18,6 +18,16 @@ never answered late with data the caller can no longer trust the
 provenance of; a fault the guard cannot recover from within the
 deadline surfaces as status ``failed`` with the detection detail.
 
+Input contract
+--------------
+``x`` must be a 1-D array of the matrix's column count with a real
+integer or floating dtype.  A request that breaks the contract is
+shed at :meth:`SpmvServer.submit` with reason ``bad_request`` — never
+queued, so it can neither poison a coalesced batch nor be coerced
+into a wrong ``ok`` (a complex ``x`` is refused, not truncated to its
+real part).  Should a batch still fail for one member, its members
+are re-run one by one so only that member fails.
+
 Batching
 --------
 Workers coalesce queued same-plan requests up to the current service
@@ -168,9 +178,10 @@ class SpmvServer:
                tenant: str = "") -> Any:
         """Enqueue one query; returns a ``Future[ServeResponse]``.
 
-        A request refused admission resolves its future immediately
-        with a ``shed`` response — ``submit`` itself never raises for
-        load reasons.
+        A request refused admission — for load reasons or for an
+        ``x`` that breaks the input contract — resolves its future
+        immediately with a ``shed`` response; ``submit`` itself never
+        raises.
         """
         with self._lock:
             self._rid += 1
@@ -181,12 +192,32 @@ class SpmvServer:
             future=Future(), t_submit=time.monotonic(),
         )
         try:
-            self.admission.submit(request)
+            self.admission.submit(
+                request,
+                problem=self._input_problem(request.plan, request.x),
+            )
         except RequestShed as shed:
             self._resolve(request, STATUS_SHED, None,
                           detail=f"{shed.reason}: {shed.detail}",
                           level=self.ladder.level.name, batched=0)
         return request.future
+
+    def _input_problem(self, plan: str, x: np.ndarray) -> str:
+        """Why ``x`` breaks the input contract (``""`` when it holds).
+
+        An unregistered ``plan`` skips the length check; the request
+        then fails at execution with the registry's own error.
+        """
+        if x.dtype.kind not in "iuf":
+            return (f"x dtype {x.dtype} is not a real integer or "
+                    "floating type")
+        if x.ndim != 1:
+            return f"x must be 1-D, got shape {x.shape}"
+        ncols = self.registry.ncols(plan)
+        if ncols is not None and x.shape[0] != ncols:
+            return (f"x has length {x.shape[0]} but matrix {plan!r} "
+                    f"has {ncols} columns")
+        return ""
 
     def query(self, plan: str, x: np.ndarray,
               deadline: Optional[Deadline] = None,
@@ -282,15 +313,17 @@ class SpmvServer:
                 else:
                     ys = self._run_guarded(lease, live, level, deadline)
         except IntegrityError as exc:
-            for req in live:
-                self._resolve(req, STATUS_FAILED, None,
-                              detail=f"integrity: {exc}",
-                              level=level.name, batched=len(live))
-            return
+            ys = [exc] * len(live)
         # Results are verified, but a request whose deadline lapsed
         # during execution is shed rather than answered late.
         for req, y in zip(live, ys):
-            if req.deadline is not None and req.deadline.expired:
+            if isinstance(y, Exception):
+                detail = (f"integrity: {y}"
+                          if isinstance(y, IntegrityError)
+                          else f"{type(y).__name__}: {y}")
+                self._resolve(req, STATUS_FAILED, None, detail=detail,
+                              level=level.name, batched=len(live))
+            elif req.deadline is not None and req.deadline.expired:
                 self._resolve(req, STATUS_SHED, None,
                               detail=f"{SHED_DEADLINE}: result ready "
                                      "after deadline",
@@ -323,12 +356,16 @@ class SpmvServer:
 
     def _run_guarded(self, lease: Any, live: List[ServeRequest],
                      level: ServiceLevel,
-                     deadline: Optional[Deadline]) -> List[np.ndarray]:
+                     deadline: Optional[Deadline]) -> List[Any]:
         """Dispatch through the guard at the requested service level.
 
-        The tuned backend pin is honoured only on the ``tuned`` rung;
-        the pin toggle is safe because the caller holds the plan's
-        execution lock.
+        Returns one result per request: its output, or the exception
+        that failed it.  A batch that raises anything but
+        :class:`IntegrityError` (a property of the matrix, not of one
+        request) is re-run member by member, so one bad request
+        cannot fail the others.  The tuned backend pin is honoured
+        only on the ``tuned`` rung; the pin toggle is safe because
+        the caller holds the plan's execution lock.
         """
         guard = lease.guard
         tuned = lease.tuned if level.use_tuned else None
@@ -336,14 +373,29 @@ class SpmvServer:
         pinned = guard.backend
         guard.backend = tuned.backend if tuned is not None else None
         try:
-            if len(live) == 1:
-                return [guard.spmv(live[0].x, jobs=jobs,
-                                   deadline=deadline)]
-            xs = np.stack([req.x for req in live])
-            ys = guard.spmv_batch(xs, jobs=jobs, deadline=deadline)
-            return [ys[i] for i in range(len(live))]
+            if len(live) > 1:
+                try:
+                    xs = np.stack([req.x for req in live])
+                    ys = guard.spmv_batch(xs, jobs=jobs,
+                                          deadline=deadline)
+                    return [ys[i] for i in range(len(live))]
+                except IntegrityError:
+                    raise
+                except Exception:  # noqa: BLE001 - isolate below
+                    pass
+            return [self._run_one(guard, req.x, jobs, deadline)
+                    for req in live]
         finally:
             guard.backend = pinned
+
+    @staticmethod
+    def _run_one(guard: Any, x: np.ndarray, jobs: Optional[int],
+                 deadline: Optional[Deadline]) -> Any:
+        """One request through the guard; an exception is its result."""
+        try:
+            return guard.spmv(x, jobs=jobs, deadline=deadline)
+        except Exception as exc:  # noqa: BLE001 - fails this one only
+            return exc
 
     # -- helpers --------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Symbolic proof obligations surfaced as verify rules.
 
-:mod:`repro.analyze.symbolic` proves six safety obligations over a
+:mod:`repro.analyze.symbolic` proves five safety obligations over a
 compiled :class:`~repro.exec.plan.ExecutionPlan` by abstract
 interpretation — no SpMV is executed.  These rules adapt each
 obligation to the :mod:`repro.verify` rule framework so refuted proofs
@@ -103,19 +103,6 @@ class AnalyzeImage(_ObligationRule):
         return check_image_bounds(
             ctx.image, k=k, spasm=ctx.spasm
         )
-
-
-@register
-class AnalyzePolicy(_ObligationRule):
-    rule_id = "analyze.policy"
-    title = ("symbolic proof: guard validate(), plan.* verify rules "
-             "and the dtype policy tables cannot drift")
-    paper = "software step ⑥ (compiled execution)"
-
-    def obligation(self, ctx: VerifyContext) -> Any:
-        from repro.analyze.symbolic import check_policy_consistency
-
-        return check_policy_consistency(ctx.plan)
 
 
 @register

@@ -1,7 +1,7 @@
 """Tests for the symbolic static-analysis subsystem (``repro.analyze``).
 
 Three layers are exercised: the pure symbolic certificate (boundary
-behaviour at the int32 capacity, via hypothesis), the six obligation
+behaviour at the int32 capacity, via hypothesis), the five obligation
 checkers over real compiled plans (clean proofs and fault-injected
 refutations with pinpointed witnesses), and the integration surfaces —
 ``analyze.*`` verify rules, the cacheable :class:`AnalyzePass`, the
@@ -28,7 +28,6 @@ from repro.analyze import (
     analyze_program,
     certify_index_width,
     check_image_bounds,
-    check_policy_consistency,
     check_segment_coverage,
     check_shard_disjointness,
 )
@@ -81,7 +80,7 @@ def with_checksum(plan):
 
 
 class TestCleanProofs:
-    def test_all_six_obligations_proved(self, clean_report):
+    def test_all_obligations_proved(self, clean_report):
         assert [
             o.obligation_id for o in clean_report.obligations
         ] == list(OBLIGATION_IDS)
@@ -106,14 +105,14 @@ class TestCleanProofs:
         assert report.ok  # skipped is not refuted
 
     def test_summary_and_render(self, clean_report):
-        assert "6 obligations for stormG2_1000" in clean_report.summary()
+        assert "5 obligations for stormG2_1000" in clean_report.summary()
         text = clean_report.render()
         assert "PROVED" in text and "coverage" in text
 
     def test_report_dict_roundtrip(self, clean_report):
         clone = AnalysisReport.from_dict(clean_report.as_dict())
         assert clone.as_dict() == clean_report.as_dict()
-        assert clone.obligation("policy").proved
+        assert clone.obligation("backend").proved
 
     def test_unknown_obligation_raises(self, clean_report):
         with pytest.raises(KeyError):
@@ -280,25 +279,6 @@ class TestFaultRefutation:
         assert o.refuted and "descriptors account" in o.statement
 
 
-class TestPolicyConsistency:
-    def test_clean_plan_is_consistent(self, program):
-        o = check_policy_consistency(program.plan)
-        assert o.proved and "drift" in o.statement
-
-    def test_wide_plan_still_consistent(self, program):
-        """Widening to int64 fires the plan.layout advisory — and the
-        certificate predicts it, so policy stays consistent."""
-        base = program.plan
-        wide = with_checksum(dataclasses.replace(
-            base,
-            cols=base.cols.astype(np.int64),
-            seg_starts=base.seg_starts.astype(np.int64),
-            seg_rows=base.seg_rows.astype(np.int64),
-        ))
-        assert wide.validate() == []
-        assert check_policy_consistency(wide).proved
-
-
 class TestPlanLayoutEscalation:
     def test_advisory_reports_certified_bound(self, program):
         from repro.verify.rules import REGISTRY, VerifyContext
@@ -356,8 +336,7 @@ class TestVerifyIntegration:
         ids = {r.rule_id for r in rules_for([KIND_ANALYZE])}
         assert ids == {
             "analyze.index_width", "analyze.coverage",
-            "analyze.shards", "analyze.image", "analyze.policy",
-            "analyze.backend",
+            "analyze.shards", "analyze.image", "analyze.backend",
         }
 
 
@@ -444,5 +423,5 @@ class TestObligationDataclass:
         assert "REFUTED" in clone.render() and "[b]" in clone.render()
 
     def test_minimal_dict_omits_empty_fields(self):
-        payload = Obligation("policy", PROVED, "fine").as_dict()
+        payload = Obligation("backend", PROVED, "fine").as_dict()
         assert "bound" not in payload and "details" not in payload

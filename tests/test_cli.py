@@ -127,8 +127,7 @@ class TestAnalyzeProofs:
         assert report["matrix"] == "t2em"
         assert [
             o["obligation"] for o in report["obligations"]
-        ] == ["index_width", "coverage", "shards", "image", "policy",
-              "backend"]
+        ] == ["index_width", "coverage", "shards", "image", "backend"]
         assert all(
             o["status"] == "proved" for o in report["obligations"]
         )
@@ -342,76 +341,81 @@ class TestErrors:
 
 
 class TestFaults:
+    """The ``chaos`` subcommand on a tiny zero-load preset."""
+
     TINY = {
-        "name": "tiny",
-        "workload": "stormG2_1000",
-        "scale": 0.5,
-        "overhead_scale": 0.5,
-        "jobs": 2,
-        "overhead_calls": 3,
-        "trials": {
-            "stream": 1, "value": 1, "plan": 1,
-            "cache": 1, "worker": 1, "image": 1,
-        },
+        "matrices": [("stormG2_1000", 0.5)],
+        "tenants": [("solo", 0, 1.0, None, 2)],
+        "workers": 1,
+        "max_queue_per_plan": 8,
+        "max_total": 8,
+        "clean_requests": 0,
+        "burst_requests": 1,
+        "waves": {"stream": 1, "value": 1, "plan": 1, "backend": 1,
+                  "cache": 1, "worker": 1, "image": 1, "malformed": 1},
     }
 
-    def test_faults_smoke_json_and_report_file(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        from repro.resilience import campaign
+    @pytest.fixture(autouse=True)
+    def tiny_preset(self, monkeypatch):
+        from repro.resilience import chaos
 
         monkeypatch.setitem(
-            campaign.CAMPAIGN_PRESETS, "smoke", self.TINY
+            chaos.CHAOS_PRESETS, "isolated-smoke", self.TINY
         )
+
+    def test_faults_smoke_json_and_report_file(self, capsys, tmp_path):
         out_file = tmp_path / "faults.json"
         assert main([
-            "faults", "--no-overhead", "--quiet", "--json",
+            "chaos", "--preset", "isolated-smoke", "--quiet", "--json",
             "--out", str(out_file),
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["zero_escapes"] is True
-        assert report["totals"]["injections"] == 6
+        assert report["clean"] is None
+        assert report["chaos"]["totals"]["injections"] == 8
         archived = json.loads(out_file.read_text())
-        assert archived["totals"] == report["totals"]
+        assert archived["chaos"]["totals"] == report["chaos"]["totals"]
 
-    def test_faults_escape_exits_nonzero(
-        self, capsys, monkeypatch
-    ):
-        from repro.resilience import campaign
+    def test_faults_escape_exits_nonzero(self, capsys, monkeypatch):
+        totals = {"injections": 1, "flagged": 0, "requests": 1,
+                  "contained": 0, "detected": 0, "shed": 0,
+                  "escaped": 1}
 
-        monkeypatch.setitem(
-            campaign.CAMPAIGN_PRESETS, "smoke", self.TINY
-        )
-
-        def rigged(preset="smoke", seed=0, overhead=True,
+        def rigged(preset="smoke", seed=0, cache_dir=None,
                    progress=None):
             return {
-                "preset": "smoke", "seed": seed,
-                "workload": {"name": "x", "nnz": 1},
-                "surfaces": {}, "escapes": [{"surface": "plan"}],
+                "preset": preset, "seed": seed, "clean": None,
+                "chaos": {
+                    "latency_ms": {"p50": 0.0, "p95": 0.0, "p99": 0.0},
+                    "waves": [], "surfaces": {"plan": totals},
+                    "totals": totals,
+                    "escapes": [{"wave": 1, "surface": "plan"}],
+                },
                 "zero_escapes": False,
-                "totals": {"injections": 1, "detected": 0,
-                           "contained": 0, "escaped": 1},
             }
 
         import repro.resilience
 
         monkeypatch.setattr(
-            repro.resilience, "run_campaign", rigged
+            repro.resilience, "run_chaos_campaign", rigged
         )
-        assert main(["faults", "--no-overhead", "--quiet"]) == 1
-        assert "escaped" in capsys.readouterr().err
+        assert main(["chaos", "--preset", "isolated-smoke",
+                     "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "escaped" in captured.err
+        assert "FAIL" in captured.out
 
-    def test_faults_text_render(self, capsys, monkeypatch):
-        from repro.resilience import campaign
-
-        monkeypatch.setitem(
-            campaign.CAMPAIGN_PRESETS, "smoke", self.TINY
-        )
-        assert main(["faults", "--no-overhead", "--quiet"]) == 0
+    def test_faults_text_render(self, capsys):
+        assert main(["chaos", "--preset", "isolated-smoke",
+                     "--quiet"]) == 0
         out = capsys.readouterr().out
-        assert "ZERO ESCAPES" in out
-        assert "stream" in out and "cache" in out
+        assert "(zero load)" in out and "PASS" in out
+        for surface in self.TINY["waves"]:
+            assert surface in out
+
+    def test_faults_subcommand_gone(self):
+        with pytest.raises(SystemExit):
+            main(["faults"])
 
 
 class TestLoadMatrix:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from repro.resilience import (
     RowOracle,
     clone_spasm,
     guarded_spmv,
-    run_campaign,
+    render_chaos_report,
+    run_chaos_campaign,
 )
+from repro.resilience.chaos import CHAOS_PRESETS, SURFACES, _ChaosRun
 from tests.conftest import random_structured_coo
 
 #: Guard knobs that confront a fault on the very next call.
@@ -269,45 +273,160 @@ class TestResilienceLog:
         assert "checksum mismatch" in log.render()
         assert len(log.to_dicts()) == 2
 
+    def test_ring_bounded_counts_exact(self):
+        log = ResilienceLog()
+        cap = ResilienceLog.CAPACITY
+        for i in range(10 * cap):
+            log.record(ResilienceEvent(
+                kind=("detect", "rebuild")[i % 2], surface="plan",
+                detail=f"event {i}",
+            ))
+        assert len(log) == cap
+        assert log.counts() == {"detect": 5 * cap, "rebuild": 5 * cap}
+        # The ring keeps the newest events, oldest first.
+        assert [e.detail for e in log.events] == [
+            f"event {i}" for i in range(9 * cap, 10 * cap)
+        ]
 
+    def test_concurrent_records_counted_exactly(self):
+        log = ResilienceLog()
+        n_threads, per_thread = 8, 1000
+
+        def work():
+            for _ in range(per_thread):
+                log.record(ResilienceEvent(
+                    kind="detect", surface="plan", detail="x",
+                ))
+
+        threads = [threading.Thread(target=work)
+                   for _ in range(n_threads)]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in threads)
+        assert log.counts() == {"detect": n_threads * per_thread}
+        assert len(log) == ResilienceLog.CAPACITY
+
+    def test_empty_shared_log_is_shared(self, spasm):
+        log = ResilienceLog()
+        guard = ExecutionGuard(spasm, log=log)
+        assert guard.log is log
+
+
+#: Zero-load preset: one tenant, one request per wave, every surface.
 TINY_PRESET = {
-    "name": "tiny",
-    "workload": "stormG2_1000",
-    "scale": 0.5,
-    "overhead_scale": 0.5,
-    "jobs": 2,
-    "overhead_calls": 3,
-    "trials": {
-        "stream": 2, "value": 2, "plan": 2,
-        "cache": 2, "worker": 2, "image": 1,
-    },
+    "matrices": [("stormG2_1000", 0.5)],
+    "tenants": [("solo", 0, 1.0, None, 2)],
+    "workers": 1,
+    "max_queue_per_plan": 8,
+    "max_total": 8,
+    "clean_requests": 0,
+    "burst_requests": 1,
+    "waves": {"stream": 2, "value": 2, "plan": 2, "backend": 1,
+              "cache": 2, "worker": 2, "image": 1, "malformed": 1},
 }
 
 
+def outcomes(report):
+    """Per-wave and per-surface tallies: the report minus timing."""
+    chaos = report["chaos"]
+    return chaos["waves"], chaos["surfaces"], chaos["totals"]
+
+
 class TestCampaign:
+    """The campaign engine at zero load (the former isolated campaign)."""
+
     def test_tiny_campaign_zero_escapes(self):
-        report = run_campaign(TINY_PRESET, seed=3, overhead=False)
+        report = run_chaos_campaign(TINY_PRESET, seed=3)
         assert report["zero_escapes"]
-        assert report["totals"]["injections"] == 11
-        assert report["totals"]["escaped"] == 0
-        assert (
-            report["totals"]["detected"]
-            + report["totals"]["contained"]
-            == report["totals"]["injections"]
-        )
-        assert set(report["surfaces"]) == {
-            "stream", "value", "plan", "cache", "worker", "image",
-        }
+        assert report["clean"] is None
+        totals = report["chaos"]["totals"]
+        assert totals["injections"] == 13
+        assert totals["escaped"] == 0
+        # One request per wave, plus three malformed ones per
+        # malformed wave; image waves send none.
+        assert totals["requests"] == 13 - 1 + 3
+        assert set(report["chaos"]["surfaces"]) == set(SURFACES)
         json.dumps(report)  # report must be JSON-serializable
 
     def test_campaign_reproducible_from_seed(self):
-        a = run_campaign(TINY_PRESET, seed=5, overhead=False)
-        b = run_campaign(TINY_PRESET, seed=5, overhead=False)
-        assert a == b
+        a = run_chaos_campaign(TINY_PRESET, seed=5)
+        b = run_chaos_campaign(TINY_PRESET, seed=5)
+        assert outcomes(a) == outcomes(b)
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
-            run_campaign("nope", seed=0)
+            run_chaos_campaign("nope", seed=0)
+
+    def test_zero_load_cache_waves_confront_the_live_plan(self):
+        report = run_chaos_campaign(TINY_PRESET, seed=3)
+        waves = [wave for wave in report["chaos"]["waves"]
+                 if wave["surface"] == "cache"]
+        assert len(waves) == TINY_PRESET["waves"]["cache"]
+        for wave in waves:
+            # The corrupted file is the target's plan artifact, and the
+            # forced re-warm quarantined it (or the guard logged it).
+            assert wave["fault"]["location"].startswith("plan-")
+            assert wave["flagged"]
+        cache = report["chaos"]["surfaces"]["cache"]
+        assert cache["flagged"] == cache["injections"]
+
+    def test_strict_audit_keeps_deadline_sheds(self, tmp_path):
+        from types import SimpleNamespace
+
+        def record(status, detail):
+            return SimpleNamespace(
+                tenant="t", plan="p", probe=0,
+                response=SimpleNamespace(status=status, detail=detail,
+                                         ok=False, level="plan"),
+            )
+
+        run = _ChaosRun({}, seed=0, cache_dir=str(tmp_path),
+                        progress=None)
+        tally = run.classify([
+            record("shed", "deadline: expired while queued"),
+            record("shed", "queue_full: plan queue at capacity"),
+            record("failed", "worker error"),
+        ], strict=True)
+        assert tally["shed"] == 1
+        assert tally["escaped"] == 2
+
+    @pytest.mark.parametrize("name", ["smoke", "isolated-smoke"])
+    def test_smoke_presets_cover_every_surface(self, name):
+        waves = CHAOS_PRESETS[name]["waves"]
+        assert set(waves) == set(SURFACES)
+        assert all(count >= 1 for count in waves.values())
+
+    def test_zero_load_presets_keep_injection_counts(self):
+        for name, floor in (("isolated-smoke", 56),
+                            ("isolated-full", 220)):
+            spec = CHAOS_PRESETS[name]
+            assert spec["clean_requests"] == 0
+            assert spec["burst_requests"] == 1
+            assert len(spec["tenants"]) == 1
+            assert sum(spec["waves"].values()) >= floor
+
+    @pytest.mark.parametrize("name", ["smoke", "isolated-smoke"])
+    def test_smoke_presets_zero_escapes(self, name, tmp_path):
+        report = run_chaos_campaign(name, seed=0, cache_dir=tmp_path)
+        assert report["zero_escapes"], report["chaos"]["escapes"]
+        assert set(report["chaos"]["surfaces"]) == set(SURFACES)
+        malformed = report["chaos"]["surfaces"]["malformed"]
+        assert malformed["shed"] == 3 * malformed["injections"]
+
+    def test_text_render(self):
+        report = run_chaos_campaign(TINY_PRESET, seed=1)
+        text = render_chaos_report(report)
+        assert "(zero load)" in text
+        assert "zero escapes -> PASS" in text
+        for surface in SURFACES:
+            assert surface in text
 
 
 class TestHwIntegration:

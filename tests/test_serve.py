@@ -8,6 +8,7 @@ never answered unverified.
 """
 
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -582,6 +583,62 @@ class TestSpmvServer:
         assert health["level"] == "tuned"
         assert health["hot_bytes"] > 0
 
+    def test_malformed_request_shed_alone(self, rng):
+        """One malformed request among N valid ones in one window: it
+        is shed as ``bad_request``, the others come back ok."""
+        spasm = make_spasm(rng)
+        registry = PlanRegistry(seed=5)
+        registry.register("m", spasm=spasm)
+        server = SpmvServer(registry, workers=1)
+        n = int(spasm.shape[1])
+        xs = rng.standard_normal((6, n))
+        bad_inputs = [np.ones(n + 1), np.ones((2, n)), xs[0] + 1j,
+                      np.array(["a"] * n)]
+        # Queue everything before the worker exists, so the first
+        # take() coalesces the whole backlog into one window.
+        futures = [server.submit("m", x) for x in xs[:3]]
+        bad = [server.submit("m", x) for x in bad_inputs]
+        futures += [server.submit("m", x) for x in xs[3:]]
+        with server:
+            responses = [f.result() for f in futures]
+        for future in bad:
+            response = future.result()
+            assert response.status == "shed" and response.y is None
+            assert response.detail.startswith("bad_request")
+        assert max(r.batched for r in responses) == len(xs)
+        for x, r in zip(xs, responses):
+            assert r.ok
+            assert np.array_equal(r.y, spasm.spmv_naive(x))
+        shed = server.stats()["admission"]["shed"]
+        assert shed == {"bad_request": len(bad_inputs)}
+
+    def test_failing_batch_isolated_per_request(self, rng):
+        """A member that slips past submit and breaks the coalesced
+        batch fails alone; its neighbours are re-run and come back
+        ok."""
+        from repro.serve.server import ServeRequest
+
+        spasm = make_spasm(rng)
+        registry = PlanRegistry(seed=5)
+        registry.register("m", spasm=spasm)
+        server = SpmvServer(registry, workers=1)
+        xs = rng.standard_normal((4, spasm.shape[1]))
+        futures = [server.submit("m", x) for x in xs[:2]]
+        rogue = ServeRequest(
+            rid=-1, plan="m", x=np.ones(3), deadline=None,
+            tenant="rogue", future=Future(), t_submit=0.0,
+        )
+        server.admission.submit(rogue)  # bypasses the contract check
+        futures += [server.submit("m", x) for x in xs[2:]]
+        with server:
+            responses = [f.result() for f in futures]
+            failed = rogue.future.result()
+        assert failed.status == "failed"
+        assert "ValueError" in failed.detail
+        for x, r in zip(xs, responses):
+            assert r.ok
+            assert np.array_equal(r.y, spasm.spmv_naive(x))
+
     def test_serve_matrices_one_call_setup(self, rng, tmp_path):
         coo = random_structured_coo(rng, 64, "mixed")
         server = serve_matrices(
@@ -642,8 +699,8 @@ class TestChaosSmoke:
         "max_total": 32,
         "clean_requests": 10,
         "burst_requests": 6,
-        "waves_per_surface": 1,
-        "surfaces": ["stream", "value", "plan", "cache"],
+        "waves": {"stream": 1, "value": 1, "plan": 1, "cache": 1,
+                  "malformed": 1},
     }
 
     def test_zero_escapes(self, tmp_path):
@@ -656,8 +713,7 @@ class TestChaosSmoke:
         # Every burst request is accounted for, and the campaign
         # exercised each configured surface.
         waves = report["chaos"]["waves"]
-        assert {w["surface"] for w in waves} == set(
-            self.SPEC["surfaces"])
+        assert {w["surface"] for w in waves} == set(self.SPEC["waves"])
         assert totals["requests"] == sum(
             w["requests"] for w in waves)
         text = render_chaos_report(report)
